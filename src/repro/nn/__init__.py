@@ -10,7 +10,8 @@ familiar ``torch``/``torch.nn`` split:
 - :mod:`repro.nn.layers` — ``Conv2d``, ``BatchNorm2d``, ``Linear``, ...
 - :mod:`repro.nn.optim` — ``Adam`` (paper recipe), ``SGD``.
 - :mod:`repro.nn.scheduler` — ``CosineAnnealingLR`` (paper recipe).
-- :mod:`repro.nn.threading` — intra-op thread pool for the conv kernels.
+- :mod:`repro.nn.threading` — intra-op thread pool for the conv kernels,
+  and the one-thread BLAS pin.
 - :mod:`repro.nn.fold` — eval-time BatchNorm folding (inference fast path).
 - :mod:`repro.nn.graph` — compiled inference graphs (``compile`` /
   ``prepare_for_inference``): trace → fuse → arena → autotune.
@@ -34,10 +35,15 @@ from .scheduler import ConstantLR, CosineAnnealingLR, LRScheduler, StepLR
 from .serialization import (load_state, restore, save_state, snapshot,
                             state_nbytes)
 from .tensor import Tensor, concat, ensure_tensor, is_grad_enabled, no_grad, stack
-from .threading import (get_intra_op_threads, intra_op_threads,
-                        set_intra_op_threads, shutdown_intra_op_pool)
+from .threading import (blas_threads, get_intra_op_threads, intra_op_threads,
+                        pin_blas_threads, set_intra_op_threads,
+                        shutdown_intra_op_pool)
 
 manual_seed = init.manual_seed
+
+# BLAS runs at one thread in every process that uses this package
+# (see :mod:`repro.nn.threading`).
+pin_blas_threads()
 
 __all__ = [
     "Tensor", "no_grad", "is_grad_enabled", "ensure_tensor", "stack", "concat",
@@ -51,6 +57,7 @@ __all__ = [
     "functional", "init", "manual_seed",
     "threading", "intra_op_threads", "get_intra_op_threads",
     "set_intra_op_threads", "shutdown_intra_op_pool",
+    "pin_blas_threads", "blas_threads",
     "fold", "fold_batchnorm", "folded_replica", "inference_copy",
     "inference_mode", "state_fingerprint",
     "FoldedModelCache", "shared_folded_cache",

@@ -13,7 +13,31 @@ knob and the pool lifecycle:
 - :func:`run_blocks` — ordered map of a kernel callable over block
   indices, serial or pooled depending on the knob;
 - :func:`shutdown_intra_op_pool` — explicit (and ``atexit``-registered)
-  drain of the shared pool so long-lived processes exit cleanly.
+  drain of the shared pool so long-lived processes exit cleanly;
+- :func:`pin_blas_threads` / :func:`blas_threads` — one BLAS thread per
+  process, and a read-out of every mapped OpenBLAS's thread count.
+
+One owner for CPU parallelism
+-----------------------------
+repro parallelises with processes (SISA workers, serving workers,
+cluster hosts) and with this module's intra-op pool, so BLAS runs at
+one thread in every repro process and ``workers x intra_op_threads`` is
+the whole CPU budget.  OpenBLAS otherwise starts one thread per core in
+*each* process, and those threads spin-wait between the small GEMMs
+this code issues: on a 2-core box, two serving processes with default
+BLAS threads served 57-610 predicts/s against 2,400-3,100 with one
+thread each, and cluster hot-swaps ran about twice as slow.
+:func:`pin_blas_threads` sets every OpenBLAS mapped into the process —
+numpy's, and scipy's once :mod:`repro.attacks` loads it — to one thread
+through its exported ``set_num_threads`` entry point.  It runs when
+:mod:`repro.nn` is imported and again whenever compute starts
+(:func:`set_intra_op_threads`, :func:`intra_op_threads`, server and host
+start-up).  Forked children inherit the setting; spawned children
+re-import it.  The pin is a scheduling change only: trained state and
+compiled logits are byte-identical at one and two BLAS threads
+(``tests/nn/test_blas_threads.py``).  An operator who sets
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` keeps that setting: the
+pin then leaves every library alone.
 
 Determinism contract
 --------------------
@@ -31,11 +55,12 @@ live pool re-creates its own (inherited threads do not survive a fork).
 from __future__ import annotations
 
 import atexit
+import ctypes
 import os
 import threading as _threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, List, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -92,6 +117,7 @@ def set_intra_op_threads(threads: int) -> int:
     """
     global _intra_op_threads
     resolved = resolve_intra_op_threads(threads)
+    pin_blas_threads()
     with _lock:
         _intra_op_threads = resolved
         if resolved <= 1:
@@ -134,13 +160,105 @@ def shutdown_intra_op_pool(wait: bool = True) -> None:
 atexit.register(shutdown_intra_op_pool)
 
 
+#: Environment variables an operator sizes OpenBLAS with; when either is
+#: set, :func:`pin_blas_threads` leaves every library as it is.
+BLAS_THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+#: C entry points of the OpenBLAS builds numpy and scipy ship: their
+#: wheels prefix the ``openblas_`` symbols with ``scipy_`` and suffix
+#: them with ``64_`` in 64-bit-integer builds.
+_BLAS_GETTERS = tuple(f"{prefix}openblas_get_num_threads{suffix}"
+                      for prefix in ("", "scipy_") for suffix in ("", "64_"))
+_BLAS_SETTERS = tuple(f"{prefix}openblas_set_num_threads{suffix}"
+                      for prefix in ("", "scipy_") for suffix in ("", "64_"))
+
+_blas_lock = _threading.Lock()
+#: library path -> (thread-count getter, thread-count setter); either
+#: is ``None`` when the library does not export it.
+_blas_entry_points: Dict[str, Tuple[Optional[Callable], Optional[Callable]]] = {}
+
+
+def _mapped_openblas() -> List[str]:
+    """Paths of the OpenBLAS shared objects mapped into this process;
+    empty where there is no ``/proc``."""
+    try:
+        with open("/proc/self/maps") as maps:
+            lines = maps.read().splitlines()
+    except OSError:
+        return []
+    paths = []
+    for line in lines:
+        fields = line.split(maxsplit=5)
+        if len(fields) < 6:
+            continue                     # anonymous mapping
+        path = fields[5]
+        name = os.path.basename(path).lower()
+        if "openblas" in name and ".so" in name and path not in paths:
+            paths.append(path)
+    return paths
+
+
+def _symbol(lib, names: Sequence[str], restype, argtypes) -> Optional[Callable]:
+    for name in names:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.restype = restype
+            fn.argtypes = argtypes
+            return fn
+    return None
+
+
+def _entry_points_locked(path: str):
+    entry = _blas_entry_points.get(path)
+    if entry is None:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            entry = (None, None)
+        else:
+            entry = (_symbol(lib, _BLAS_GETTERS, ctypes.c_int, []),
+                     _symbol(lib, _BLAS_SETTERS, None, [ctypes.c_int]))
+        _blas_entry_points[path] = entry
+    return entry
+
+
+def pin_blas_threads() -> None:
+    """Set every OpenBLAS mapped into this process to one thread.
+
+    Idempotent and cheap (one read of ``/proc/self/maps``); a library
+    already at one thread is not touched.  Does nothing where there is
+    no ``/proc`` or no exported setter, and nothing at all when the
+    operator set one of :data:`BLAS_THREAD_ENV_VARS`.
+    """
+    if any(name in os.environ for name in BLAS_THREAD_ENV_VARS):
+        return
+    with _blas_lock:
+        for path in _mapped_openblas():
+            get, set_ = _entry_points_locked(path)
+            if set_ is not None and (get is None or get() != 1):
+                set_(1)
+
+
+def blas_threads() -> List[dict]:
+    """Each OpenBLAS mapped into this process and the thread count it
+    runs at (``None`` when the library exports no getter)."""
+    with _blas_lock:
+        out = []
+        for path in _mapped_openblas():
+            get, _ = _entry_points_locked(path)
+            out.append({"library": path,
+                        "num_threads": get() if get is not None else None})
+        return out
+
+
 def _reinit_after_fork() -> None:
     """Forked children inherit module state but not running threads — and
     a lock held by another parent thread at fork time stays locked in
-    the child forever.  Replace the lock and drop the (threadless) pool
+    the child forever.  Replace the locks and drop the (threadless) pool
     so the first dispatch in the child starts from a clean slate."""
-    global _lock, _pool, _pool_size
+    global _lock, _blas_lock, _pool, _pool_size
     _lock = _threading.Lock()
+    _blas_lock = _threading.Lock()
     _pool = None
     _pool_size = 0
 

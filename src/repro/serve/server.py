@@ -26,6 +26,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..nn.tensor import Tensor
+from ..nn.threading import blas_threads, pin_blas_threads
 from ..obs import trace as _trace
 from ..obs.metrics import Registry, render_prometheus
 from ..parallel.pool import resolve_workers
@@ -169,6 +170,9 @@ class InferenceServer:
                  prefetch_replicas: bool = True,
                  reliability: Optional[ReliabilityConfig] = None,
                  compile_models: bool = True):
+        # Serving is compute start-up: a BLAS library mapped since
+        # ``repro.nn`` was imported (scipy's) gets pinned here too.
+        pin_blas_threads()
         self.store = store
         self.policy = policy
         self.screening = screening
@@ -447,6 +451,9 @@ class InferenceServer:
                     1 for entry in self.store.all_entries()
                     if entry.compiled),
             },
+            # This process's parallelism: one thread per mapped BLAS
+            # unless the operator sized BLAS through the environment.
+            "blas_threads": blas_threads(),
         }
         payload["reliability"] = {
             "degraded": bool(self.backend is not None

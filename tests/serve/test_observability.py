@@ -25,7 +25,7 @@ POLICY = BatchPolicy(max_batch_size=8, max_delay_ms=1.0)
 #: whatever backs the numbers.  Additions are fine; removals break
 #: dashboards.
 GOLDEN_TOP_KEYS = {"requests", "batcher", "backend", "policy", "models",
-                   "prefetch", "reliability", "obs"}
+                   "prefetch", "reliability", "obs", "blas_threads"}
 GOLDEN_REQUEST_KEYS = {"total", "served", "rejected", "invalid", "failed"}
 
 
@@ -75,6 +75,8 @@ def _assert_metrics_schema(metrics: dict) -> None:
     assert {"latency", "recorder", "tracing"} <= set(metrics["obs"])
     assert {"spans_started", "spans_ended", "spans_dropped",
             "spans_held", "capacity"} <= set(metrics["obs"]["recorder"])
+    for lib in metrics["blas_threads"]:
+        assert set(lib) == {"library", "num_threads"}
 
 
 class TestMetricsSchemaInline:
