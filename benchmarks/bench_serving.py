@@ -1,16 +1,15 @@
 """Serving-layer benchmark: throughput/latency vs policy, workers, cache.
 
-Stands up the real stack — ModelStore, fixed-width micro-batcher,
+Stands up the real stack — ModelStore, micro-batcher,
 stdlib HTTP front end — around a bench-scale model and drives it with
 the closed-loop load generator across several axes:
 
 - **policies**: coalescing (max_batch_size, max_delay_ms) sweep;
 - **threads**: intra-op thread counts at the widest policy;
-- **multiproc**: ``--serve-workers`` 1/2/4 — fixed-width batches
-  dispatched over per-process folded replicas with the shared-memory
-  logits return path (the win only materializes with >= 2 available
-  cores; ``cpu_count`` is recorded alongside so the cells are
-  interpretable);
+- **multiproc**: ``--serve-workers`` 1/2/4 — batches dispatched over
+  per-process folded replicas with the shared-memory logits return
+  path (the win only materializes with >= 2 available cores;
+  ``cpu_count`` is recorded alongside so the cells are interpretable);
 - **cache**: the exact-response LRU under repeated traffic, on vs off,
   plus a cached-vs-fresh max-delta that the determinism contract pins
   to exactly 0.0;
@@ -336,8 +335,8 @@ def compiled_steady_cells(repeats: int = 3, steady: int = 24,
                           dataset: str = "cifar10-bench") -> dict:
     """Compiled vs interpreted steady-state p50, measured-vs-measured.
 
-    In-process predicts at the full serving width (every batch padded to
-    ``max_batch``), fresh server per repeat, best-of-``repeats`` per
+    In-process single-image predicts (each a one-row forward of a
+    program sized for ``max_batch``), fresh server per repeat, best-of-``repeats`` per
     mode — the same noise-robust floor estimator the observability
     overhead cells use.  ``check_regression.py`` gates the pair:
     compiled serving must not lose to interpreted

@@ -303,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0,
                    help="0 = ephemeral (printed at startup)")
     p.add_argument("--max-batch-size", type=int, default=32,
-                   help="fixed compute width of every forward pass "
-                        "(< 16 or a multiple of 8)")
+                   help="largest batch one forward pass serves, and the "
+                        "row count compiled arenas are sized for")
     p.add_argument("--max-delay-ms", type=float, default=2.0,
                    help="how long to hold a request open for coalescing")
     p.add_argument("--max-queue", type=int, default=128,
@@ -327,21 +327,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefetch-replicas",
                    action=argparse.BooleanOptionalAction, default=True,
                    help="ship every model version to the serving workers "
-                        "and run fixed-width warm-up forwards before the "
+                        "and run full-width warm-up forwards before the "
                         "first request (kills the first-batch latency "
                         "spike); --no-prefetch-replicas restores lazy "
                         "load-on-first-request")
     p.add_argument("--compile", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="serve every version through its compiled graph "
-                        "(trace -> fuse -> arena -> autotune at the fixed "
-                        "compute width; bit-identical to interpreted); "
+                        "(trace -> fuse -> arena -> autotune, sized for "
+                        "--max-batch-size; bit-identical to interpreted); "
                         "--no-compile restores module-by-module forwards")
     p.add_argument("--worker-retries", type=int, default=3,
                    help="attempts per batch across worker failures "
                         "(crashes, stalls) before the request errors; "
-                        "retries are bit-identical by the fixed-width "
-                        "contract (default 3)")
+                        "retries are bit-identical by the width-invariant "
+                        "kernels (default 3)")
     p.add_argument("--worker-deadline", type=float, default=None,
                    help="per-worker-call deadline in seconds; a call past "
                         "it is treated as a stall and the worker is "

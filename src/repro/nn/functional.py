@@ -8,7 +8,10 @@ The conv2d matmuls (forward, input gradient, weight gradient) run as
 row-blocks over the batch dimension dispatched through
 :mod:`repro.nn.threading`; the block decomposition is shape-only and
 reductions happen in block-index order, so results are bit-identical at
-every ``intra_op_threads`` setting.
+every ``intra_op_threads`` setting.  Inference forwards are also
+width-invariant: each conv forward GEMM covers one sample and the
+tape-free :func:`linear` one row, so a sample's outputs carry the same
+bits whatever batch it shares a forward with.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from ..obs import profile as _profile
-from .tensor import Tensor, ensure_tensor
+from .tensor import Tensor, ensure_tensor, is_grad_enabled
 from .threading import batch_blocks, map_blocks
 
 IntPair = Union[int, Tuple[int, int]]
@@ -336,8 +339,21 @@ def batch_norm(x: Tensor, weight: Optional[Tensor], bias: Optional[Tensor],
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ W.T + b`` with ``W`` of shape (out, in)."""
-    out = x.matmul(weight.T)
+    """Affine map ``x @ W.T + b`` with ``W`` of shape (out, in).
+
+    Without a tape (grad mode off, or neither ``x`` nor ``weight``
+    requires grad) the product runs one GEMM per row,
+    ``x.reshape(n, 1, f) @ W.T``: BLAS picks kernels, and with them
+    accumulation orders, by GEMM row count, so one batched GEMM would
+    give a row different low-order bits at different batch widths.  The
+    tape path keeps the single batched GEMM.
+    """
+    if is_grad_enabled() and (x.requires_grad or weight.requires_grad):
+        out = x.matmul(weight.T)
+    else:
+        lead = x.shape[:-1]
+        out = (x.reshape(lead + (1, x.shape[-1])).matmul(weight.T)
+               .reshape(lead + (weight.shape[0],)))
     if bias is not None:
         out = out + bias
     return out

@@ -1,11 +1,14 @@
 """Compiled inference graphs: trace → fuse → arena-plan → autotune.
 
 The interpreted path executes a model module-by-module, materializing a
-fresh array per op.  For serving that is pure overhead: the fixed
-compute-width determinism contract means every forward of a registered
-model version runs at one batch shape, so the whole op sequence — shapes,
-dtypes, buffer sizes, conv geometries — is known ahead of time.  This
-module compiles that knowledge into a flat program:
+fresh array per op.  For serving that is pure overhead: every forward of
+a registered model version runs at most ``max_batch_size`` rows of one
+per-sample shape, and every op keeps the batch on its leading axis, so
+the whole op sequence — shapes, dtypes, buffer sizes, conv geometries —
+is known ahead of time up to the row count.  This module compiles that
+knowledge into one flat program per version, sized for the full width
+and replayed on the first ``n`` rows of every buffer for any
+``1 <= n <= width``:
 
 - **Trace.**  Run the folded model once at its serving width with the
   ``Tensor`` primitive methods and :mod:`repro.nn.functional` kernels
@@ -14,6 +17,9 @@ module compiles that knowledge into a flat program:
   eval-mode BatchNorm statistics) are captured as constants, and ops
   whose inputs are all constants fold away at trace time (``weight.T``
   in a linear head, the ``(var + eps) ** -0.5`` of an eval BatchNorm1d).
+  A node whose leading axis is not the batch, row for row (a reduction
+  or transpose over axis 0, a per-row constant), cannot replay on a row
+  prefix and raises :class:`TraceError`.
 - **Fuse.**  An elementwise node whose input buffer has no later
   readers writes its result *into that buffer* instead of a fresh one —
   conv→bias→ReLU chains and residual adds collapse onto the conv's GEMM
@@ -35,9 +41,10 @@ ties resolve identically, rare ops re-run the original interpreted
 function into the arena).  Forward conv GEMMs are per-sample independent
 so block-count changes cannot move a bit.  :func:`compile` then
 *verifies* the program against the interpreted path on a second, fresh
-batch — any divergence (including data-dependent constants left behind
-by an untraceable op) raises :class:`TraceError` and the model falls
-back, with a once-per-model warning, to the interpreted folded copy.
+batch, at the full width and at one row — any divergence (including
+data-dependent constants left behind by an untraceable op) raises
+:class:`TraceError` and the model falls back, with a once-per-model
+warning, to the interpreted folded copy.
 
 Public surface: :func:`compile` → :class:`CompiledModel`
 (``__call__`` / ``.plan`` / ``.save`` / ``.load``) and
@@ -394,6 +401,20 @@ def _prune(nodes: List[_TraceNode], out_idx: int) -> Tuple[List[_TraceNode], int
     return kept, remap[out_idx]
 
 
+def _check_batch_axis(nodes: List[_TraceNode], width: int) -> None:
+    """Raise :class:`TraceError` unless every node leads with the batch
+    axis — what replaying the program on the first ``n`` rows of every
+    buffer relies on.  What shapes alone cannot show (a per-row
+    constant, rows mixed along an axis as long as the batch) fails the
+    one-row verification in :func:`compile`."""
+    for node in nodes:
+        if (node.shape[:1] != (width,)
+                or node.params.get("axes", (0,))[0] != 0):
+            raise TraceError(
+                f"cannot replay traced {node.op!r} (shape {node.shape}) on "
+                f"a row prefix: its leading axis is not the batch of {width}")
+
+
 # ---------------------------------------------------------------------------
 # Planning: storages, fusion, arena
 # ---------------------------------------------------------------------------
@@ -520,7 +541,9 @@ class _Arena:
 # ---------------------------------------------------------------------------
 
 class GraphProgram:
-    """A compiled flat program: ordered replay closures over one arena."""
+    """A compiled flat program: ordered replay closures over one arena
+    sized for ``input_shape``; :meth:`run` replays them on a batch of
+    its first ``1..width`` rows."""
 
     def __init__(self, runs: List[Optional[Callable]], out_idx: int,
                  input_shape: Tuple[int, ...], arena: np.ndarray,
@@ -533,11 +556,12 @@ class GraphProgram:
         self._values: List[Optional[np.ndarray]] = [None] * len(runs)
 
     def run(self, batch: np.ndarray) -> np.ndarray:
+        rows = len(batch)
         values = self._values
         values[0] = batch
         runs = self._runs
         for i in range(1, len(runs)):
-            values[i] = runs[i](values)
+            values[i] = runs[i](values, rows)
         out = values[self._out].copy()
         for i in range(len(values)):
             values[i] = None
@@ -624,13 +648,13 @@ def _build_node(node: _TraceNode, i: int, out_array, scratch_arrays,
     if op in _VIEW_OPS:
         src = inputs[0]
         if op == "reshape":
-            shape = params["shape"]
-            return lambda values: values[src].reshape(shape)
+            tail = params["shape"][1:]
+            return lambda values, rows: values[src].reshape((rows,) + tail)
         if op == "transpose":
             axes = params["axes"]
-            return lambda values: values[src].transpose(axes)
+            return lambda values, rows: values[src].transpose(axes)
         index = params["index"]
-        return lambda values: values[src][index]
+        return lambda values, rows: values[src][index]
 
     out = out_array(i)
 
@@ -639,70 +663,62 @@ def _build_node(node: _TraceNode, i: int, out_array, scratch_arrays,
         if len(inputs) == 1:
             a = inputs[0]
 
-            def run(values):
-                ufunc(_resolve(a, values), out=out)
-                return out
+            def run(values, rows):
+                ufunc(_resolve(a, values), out=out[:rows])
+                return out[:rows]
             return run
         a, b = inputs
 
-        def run(values):
-            ufunc(_resolve(a, values), _resolve(b, values), out=out)
-            return out
+        def run(values, rows):
+            ufunc(_resolve(a, values), _resolve(b, values), out=out[:rows])
+            return out[:rows]
         return run
 
     if op == "relu":
         a = inputs[0]
         (mask,) = scratch_arrays(i)
 
-        def run(values):
+        def run(values, rows):
             x = _resolve(a, values)
-            np.greater(x, 0, out=mask)
-            np.multiply(x, mask, out=out)
-            return out
+            np.greater(x, 0, out=mask[:rows])
+            np.multiply(x, mask[:rows], out=out[:rows])
+            return out[:rows]
         return run
 
     if op == "clip":
         a, low, high = inputs[0], params["low"], params["high"]
 
-        def run(values):
-            np.clip(_resolve(a, values), low, high, out=out)
-            return out
+        def run(values, rows):
+            np.clip(_resolve(a, values), low, high, out=out[:rows])
+            return out[:rows]
         return run
 
     if op == "sum":
         a, axis, keepdims = inputs[0], params["axis"], params["keepdims"]
 
-        def run(values):
-            np.sum(_resolve(a, values), axis=axis, keepdims=keepdims, out=out)
-            return out
+        def run(values, rows):
+            np.sum(_resolve(a, values), axis=axis, keepdims=keepdims,
+                   out=out[:rows])
+            return out[:rows]
         return run
 
     if op == "matmul":
         a, b = inputs
 
-        def run(values):
-            np.matmul(_resolve(a, values), _resolve(b, values), out=out)
-            return out
+        def run(values, rows):
+            np.matmul(_resolve(a, values), _resolve(b, values),
+                      out=out[:rows])
+            return out[:rows]
         return run
 
-    if op in ("sigmoid", "pow", "max"):
+    if op in ("sigmoid", "pow", "max", "batch_norm"):
         a = inputs[0]
         orig, args, kwargs = params["orig"], params["args"], params["kwargs"]
 
-        def run(values):
+        def run(values, rows):
             res = orig(Tensor(_resolve(a, values)), *args, **kwargs)
-            np.copyto(out, res.data)
-            return out
-        return run
-
-    if op == "batch_norm":
-        a = inputs[0]
-        orig, args, kwargs = params["orig"], params["args"], params["kwargs"]
-
-        def run(values):
-            res = orig(Tensor(_resolve(a, values)), *args, **kwargs)
-            np.copyto(out, res.data)
-            return out
+            np.copyto(out[:rows], res.data)
+            return out[:rows]
         return run
 
     if op == "pad2d":
@@ -711,22 +727,23 @@ def _build_node(node: _TraceNode, i: int, out_array, scratch_arrays,
         _, _, h, w = params["in_shape"]
         interior = out[:, :, ph:ph + h, pw:pw + w]
 
-        def run(values):
-            out.fill(0.0)
-            np.copyto(interior, _resolve(a, values))
-            return out
+        def run(values, rows):
+            out[:rows].fill(0.0)
+            np.copyto(interior[:rows], _resolve(a, values))
+            return out[:rows]
         return run
 
     if op == "avg_pool2d":
         a = inputs[0]
-        n, c, h, w = params["in_shape"]
+        _, c, h, w = params["in_shape"]
         kh, kw = F._pair(params["kernel"])
         oh, ow = h // kh, w // kw
 
-        def run(values):
+        def run(values, rows):
             x = _resolve(a, values)
-            np.mean(x.reshape(n, c, oh, kh, ow, kw), axis=(3, 5), out=out)
-            return out
+            np.mean(x.reshape(rows, c, oh, kh, ow, kw), axis=(3, 5),
+                    out=out[:rows])
+            return out[:rows]
         return run
 
     if op == "max_pool2d":
@@ -737,14 +754,14 @@ def _build_node(node: _TraceNode, i: int, out_array, scratch_arrays,
         win5, argbuf = scratch_arrays(i)
         win6 = win5.reshape(n, c, oh, ow, kh, kw)
 
-        def run(values):
-            x = _resolve(a, values)
-            x6 = x.reshape(n, c, oh, kh, ow, kw)
-            np.copyto(win6, x6.transpose(0, 1, 2, 4, 3, 5))
-            np.argmax(win5, axis=-1, out=argbuf)
-            taken = np.take_along_axis(win5, argbuf[..., None], axis=-1)
-            np.copyto(out, taken[..., 0])
-            return out
+        def run(values, rows):
+            x6 = _resolve(a, values).reshape(rows, c, oh, kh, ow, kw)
+            np.copyto(win6[:rows], x6.transpose(0, 1, 2, 4, 3, 5))
+            np.argmax(win5[:rows], axis=-1, out=argbuf[:rows])
+            taken = np.take_along_axis(win5[:rows], argbuf[:rows, ..., None],
+                                       axis=-1)
+            np.copyto(out[:rows], taken[..., 0])
+            return out[:rows]
         return run
 
     if op == "conv2d":
@@ -779,9 +796,9 @@ def _build_conv(node: _TraceNode, i: int, out: np.ndarray, scratch_arrays,
     key = tuned_key(geom, n)
     holder = [batch_blocks(n, tuned.get(key))]
 
-    def _gemm(blocks: Sequence[slice]) -> None:
+    def _gemm(blocks: Sequence[slice], rows: int) -> None:
         if len(blocks) == 1:
-            np.matmul(w_g[None], cols_g, out=gemm)
+            np.matmul(w_g[None], cols_g[:rows], out=gemm[:rows])
         else:
             map_blocks(lambda sl, _b: np.matmul(w_g[None], cols_g[sl],
                                                 out=gemm[sl]), blocks)
@@ -790,35 +807,37 @@ def _build_conv(node: _TraceNode, i: int, out: np.ndarray, scratch_arrays,
         conv_tuners.append({"key": key, "n": n, "holder": holder,
                             "gemm": _gemm})
 
-    def run(values):
+    def run(values, rows):
         x = _resolve(a, values)
         if pad_buf is not None:
-            pad_buf.fill(0.0)
-            np.copyto(pad_buf[:, :, ph:ph + h, pw:pw + w], x)
-            xp = pad_buf
+            xp = pad_buf[:rows]
+            xp.fill(0.0)
+            np.copyto(xp[:, :, ph:ph + h, pw:pw + w], x)
         else:
             xp = x
         windows = np.lib.stride_tricks.sliding_window_view(
             xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-        np.copyto(cols6, windows.transpose(0, 1, 4, 5, 2, 3))
+        np.copyto(cols6[:rows], windows.transpose(0, 1, 4, 5, 2, 3))
+        blocks = holder[0]
+        if rows < n:
+            # Per-sample GEMMs: clipping the tuned blocks to the prefix
+            # cannot move a bit.
+            blocks = [slice(sl.start, min(sl.stop, rows))
+                      for sl in blocks if sl.start < rows]
         _prof = _profile.ACTIVE
         token = _prof.start("conv.forward") if _prof is not None else None
-        _gemm(holder[0])
+        _gemm(blocks, rows)
         if _prof is not None:
             _prof.stop(token)
         if bias_r is not None:
-            np.add(out4, bias_r, out=out4)
-        return out4
+            np.add(out4[:rows], bias_r, out=out4[:rows])
+        return out4[:rows]
     return run
 
 
 # ---------------------------------------------------------------------------
 # Autotune
 # ---------------------------------------------------------------------------
-
-def _split(n: int, count: int) -> List[slice]:
-    return batch_blocks(n, count)
-
 
 def _autotune(program: GraphProgram, tuned: Dict[str, int]) -> None:
     """Time candidate row-block counts per conv; smallest count wins ties.
@@ -829,31 +848,23 @@ def _autotune(program: GraphProgram, tuned: Dict[str, int]) -> None:
     """
     for tuner in program.conv_tuners:
         if tuner["key"] in tuned:
-            tuner["holder"][0] = _split(tuner["n"], tuned[tuner["key"]])
-            continue
+            continue            # built with the seeded count already
         n, gemm = tuner["n"], tuner["gemm"]
         best_count, best_time = 1, None
         for cand in AUTOTUNE_CANDIDATES:
             if cand > n:
                 break
-            blocks = _split(n, cand)
+            blocks = batch_blocks(n, cand)
             elapsed = None
             for _ in range(AUTOTUNE_REPS):
                 t0 = time.perf_counter()
-                gemm(blocks)
+                gemm(blocks, n)
                 dt = time.perf_counter() - t0
                 elapsed = dt if elapsed is None else min(elapsed, dt)
             if best_time is None or elapsed < best_time:
                 best_count, best_time = cand, elapsed
         tuned[tuner["key"]] = best_count
-        tuner["holder"][0] = _split(n, best_count)
-
-
-def _apply_tuned(program: GraphProgram, tuned: Dict[str, int]) -> None:
-    for tuner in program.conv_tuners:
-        count = tuned.get(tuner["key"])
-        if count:
-            tuner["holder"][0] = _split(tuner["n"], int(count))
+        tuner["holder"][0] = batch_blocks(n, best_count)
 
 
 # ---------------------------------------------------------------------------
@@ -861,14 +872,15 @@ def _apply_tuned(program: GraphProgram, tuned: Dict[str, int]) -> None:
 # ---------------------------------------------------------------------------
 
 class CompiledModel:
-    """A model compiled for one exact batch shape.
+    """A model compiled for batches of up to ``width`` samples.
 
-    Calls with the compiled ``(width, *input_shape)`` batch run the flat
-    arena program; any other shape — and every call when compilation
-    fell back — delegates to the interpreted folded model, so a
-    ``CompiledModel`` is always safe to serve through.  Execution holds
-    a per-instance lock (the arena is single-flight); the serving layer
-    runs one batch at a time per model anyway.
+    Calls with ``1 <= n <= width`` samples of the compiled per-sample
+    shape run the flat arena program on its first ``n`` rows; larger
+    batches, other shapes — and every call when compilation fell back —
+    delegate to the interpreted folded model, so a ``CompiledModel`` is
+    always safe to serve through.  Execution holds a per-instance lock
+    (the arena is single-flight); the serving layer runs one batch at a
+    time per model anyway.
     """
 
     def __init__(self, model: Module, program: Optional[GraphProgram],
@@ -889,8 +901,8 @@ class CompiledModel:
         tensor_in = isinstance(x, Tensor)
         arr = x.data if tensor_in else np.asarray(x, dtype=np.float32)
         program = self._program
-        if program is None or arr.shape != ((self.width,)
-                                            + program.input_shape[1:]):
+        if (program is None or not 1 <= len(arr) <= self.width
+                or arr.shape[1:] != program.input_shape[1:]):
             return self.model(x if tensor_in else Tensor(arr))
         _prof = _profile.ACTIVE
         token = _prof.start("compiled.forward") if _prof is not None else None
@@ -959,16 +971,16 @@ def compile(model: Module, width: int, *,
             fused: bool = True, autotune: bool = True,
             tuned: Optional[Dict[str, int]] = None,
             verify: bool = True) -> CompiledModel:
-    """Compile ``model`` for batches of exactly ``width`` samples.
+    """Compile ``model`` for batches of up to ``width`` samples.
 
     The model is folded first (through the shared folded cache) unless
     it already is; the folded copy is both the trace subject and the
     interpreted fallback.  ``input_shape`` is the per-sample shape —
     taken from ``model.input_shape`` when omitted.  ``tuned`` seeds the
     conv block table (a shipped plan skips re-autotuning);
-    ``verify=True`` replays a second, fresh batch through the program
-    and byte-compares against the interpreted path before accepting the
-    plan.  Any failure returns a fallback :class:`CompiledModel`
+    ``verify=True`` replays a second, fresh batch through the program,
+    at the full width and at one row, and byte-compares against the
+    interpreted path before accepting the plan.  Any failure returns a fallback :class:`CompiledModel`
     (interpreted path, ``compiled=False``) and warns once per model
     class and failure kind.
     """
@@ -992,6 +1004,7 @@ def compile(model: Module, width: int, *,
         with _COMPILE_LOCK:
             nodes, out_idx = _trace(folded, Tensor(batch_a))
         nodes, out_idx = _prune(nodes, out_idx)
+        _check_batch_axis(nodes, width)
         storage_of, end_of, fused_count = _plan_storages(nodes, out_idx, fused)
         program = _build_program(nodes, out_idx, storage_of, end_of, table)
         # Warm run: proves the replay executes and fills the arena with
@@ -999,21 +1012,20 @@ def compile(model: Module, width: int, *,
         program.run(batch_a)
         if autotune:
             _autotune(program, table)
-        else:
-            _apply_tuned(program, table)
         if verify:
             vrng = np.random.default_rng(
                 0xA11CE ^ (width * 40503 % (1 << 31)))
             batch_b = vrng.standard_normal((width,) + shape, dtype=np.float32)
-            with no_grad():
-                ref = folded(Tensor(batch_b)).data
-            got = program.run(batch_b)
-            if (got.shape != ref.shape or got.dtype != ref.dtype
-                    or got.tobytes() != ref.tobytes()):
-                raise TraceError(
-                    "compiled program diverged from the interpreted path "
-                    "on a verification batch (likely an untraceable op "
-                    "captured as a constant)")
+            for rows in sorted({width, 1}, reverse=True):
+                with no_grad():
+                    ref = folded(Tensor(batch_b[:rows])).data
+                got = program.run(batch_b[:rows])
+                if (got.shape != ref.shape or got.dtype != ref.dtype
+                        or got.tobytes() != ref.tobytes()):
+                    raise TraceError(
+                        f"compiled program diverged from the interpreted "
+                        f"path on a {rows}-row verification batch (likely "
+                        f"an untraceable op captured as a constant)")
         plan.update(ops=len(nodes) - 1, fused=fused_count,
                     arena_bytes=int(program.arena.nbytes), tuned=table,
                     input_shape=list(shape))

@@ -16,7 +16,7 @@ package supplies the two halves of that failure model:
   check.
 - :mod:`~repro.reliability.retry` — the supervision layer that makes
   injected (and real) faults survivable: :class:`RetryPolicy` bounds
-  per-call deadlines and replays idempotent fixed-width batches with
+  per-call deadlines and replays idempotent batches with
   deterministic jittered exponential backoff (the serving determinism
   contract makes a replay bit-identical by construction), and
   :class:`WorkerSupervisor` is the per-worker respawn budget + circuit

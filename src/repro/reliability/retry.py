@@ -1,8 +1,8 @@
 """Retry policies and per-worker supervision.
 
-The serving determinism contract (every forward padded to exactly
-``max_batch_size``, bit-stable kernels at every thread count) makes a
-batch replay bit-identical by construction, so retrying an idempotent
+The serving determinism contract (width-invariant kernels, bit-stable
+at every batch width and thread count) makes a batch replay
+bit-identical by construction, so retrying an idempotent
 batch after a worker crash or stall is always safe.  This module
 supplies the knobs:
 

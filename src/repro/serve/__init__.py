@@ -1,8 +1,8 @@
 """``repro.serve`` — micro-batched inference serving for ReVeil models.
 
 The deployment stage of the threat model: a :class:`ModelStore` of
-versioned, BatchNorm-folded models, a fixed-width micro-batching
-scheduler with a bit-identity determinism contract
+versioned, BatchNorm-folded models, a micro-batching scheduler with
+a bit-identity determinism contract
 (:class:`MicroBatcher`), a pluggable execution backend — inline, or
 :class:`MultiprocBackend` dispatching batches over persistent worker
 processes holding per-process folded replicas with a shared-memory

@@ -10,27 +10,15 @@ serves the whole group.
 Determinism contract
 --------------------
 A request's logits are **bit-identical whether it was served solo or
-coalesced with any other traffic**.  This cannot be left to chance:
-BLAS picks different kernels (and therefore different accumulation
-orders) for different GEMM row counts, so the same image generally
-yields different low-order bits at batch width 1 vs width 8.  The
-batcher therefore runs *every* forward at one fixed compute width —
-``max_batch_size`` — padding short groups with zero rows and slicing
-the real rows back out.  Per-row GEMM results are independent of row
-offset and of the other rows' contents for a fixed shape (enforced by
-``tests/serve/test_batcher.py`` across the model zoo), so placement
-within the batch cannot change a request's bits either.
-
-Two policy constraints follow:
-
-- ``max_batch_size`` must decompose into equal-length conv row-blocks
-  (``batch_blocks`` is shape-only: width < 16, or a multiple of 8), so
-  a sample's conv GEMMs have the same shape at every offset;
-- the padded forward costs a full-width pass even for a lone request —
-  that is the price of bit-stability, and exactly the waste coalescing
-  recovers: occupancy (real rows / padded rows) is the headline metric
-  of ``benchmarks/bench_serving.py``.  ``pad_to_full=False`` trades the
-  contract away for low-load latency.
+coalesced with any other traffic**.  The kernels carry this, not the
+batcher: every inference GEMM covers one sample's rows (batched conv
+GEMMs issue one product per sample and group; the tape-free
+:func:`repro.nn.functional.linear` one per row), so a row's bits do not
+depend on how many rows share its forward or where it sits among them
+(enforced by ``tests/nn/test_width_invariance.py`` across the model
+zoo).  The batcher therefore forwards exactly the real rows of a group,
+``1 <= n <= max_batch_size``; there are no padding rows, and
+``occupancy`` (real rows / computed rows) is always 1.0.
 
 The worker thread is a daemon and is drained at interpreter shutdown
 via ``atexit`` (mirroring the intra-op pool), so servers and long
@@ -50,7 +38,6 @@ from typing import Callable, Dict, Hashable, List, Optional
 
 import numpy as np
 
-from ..nn.threading import MIN_BLOCK_BATCH, NUM_BLOCKS, batch_blocks
 from ..obs import profile as _profile
 from ..obs import trace as _trace
 from ..obs.metrics import Registry
@@ -66,8 +53,8 @@ class BatchPolicy:
     """Coalescing policy of one :class:`MicroBatcher`.
 
     max_batch_size:
-        Fixed compute width of every forward pass (see module docstring
-        for why it is fixed, and which widths are legal).
+        The largest batch one forward pass serves; compiled programs
+        size their arenas for it.
     max_delay_ms:
         How long the scheduler holds the *first* request of a group to
         wait for companions.  0 disables coalescing-by-waiting: a group
@@ -75,17 +62,11 @@ class BatchPolicy:
     max_queue:
         Bound on queued (not yet running) requests; beyond it
         :meth:`~MicroBatcher.submit` raises :class:`QueueFullError`.
-    pad_to_full:
-        Pad every group to exactly ``max_batch_size`` rows (the
-        determinism contract).  Opting out serves groups at natural
-        width — faster when traffic is sparse, but solo and coalesced
-        serving of the same image may then differ in the low-order bits.
     """
 
     max_batch_size: int = 32
     max_delay_ms: float = 2.0
     max_queue: int = 128
-    pad_to_full: bool = True
 
     def __post_init__(self):
         if self.max_batch_size < 1:
@@ -94,15 +75,6 @@ class BatchPolicy:
             raise ValueError("max_delay_ms must be >= 0")
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        if self.pad_to_full:
-            lengths = {s.stop - s.start
-                       for s in batch_blocks(self.max_batch_size)}
-            if len(lengths) > 1:
-                raise ValueError(
-                    f"max_batch_size={self.max_batch_size} does not split "
-                    f"into equal conv row-blocks; use a width < "
-                    f"{MIN_BLOCK_BATCH} or a multiple of {NUM_BLOCKS} so "
-                    f"padded forwards are bit-stable at every row offset")
 
 
 @dataclass
@@ -179,19 +151,19 @@ atexit.register(_close_live_batchers)
 
 
 class MicroBatcher:
-    """Coalesces submitted requests into fixed-width inference batches.
+    """Coalesces submitted requests into inference batches.
 
     Parameters
     ----------
     infer_fn:
-        ``infer_fn(key, images) -> logits`` — one forward pass over an
-        already-padded ``(B, C, H, W)`` batch for the model pinned by
-        ``key``.  Must be deterministic.
+        ``infer_fn(key, images) -> logits`` — one forward pass over a
+        ``(B, C, H, W)`` batch of ``1 <= B <= max_batch_size`` rows for
+        the model pinned by ``key``.  Must be deterministic.
     policy:
         The :class:`BatchPolicy`.
     post_batch:
         Optional ``post_batch(key, images, logits) -> {name: array}``
-        hook run once per batch over the *real* (un-padded) rows — the
+        hook run once per batch over its rows — the
         serving layer uses it for online STRIP screening.  Returned
         arrays are sliced per request into :attr:`BatchOutput.extra`.
     backend:
@@ -199,8 +171,7 @@ class MicroBatcher:
         ``max_inflight``).  Defaults to :class:`InlineBackend` over
         ``infer_fn``; pass a
         :class:`~repro.serve.multiproc.MultiprocBackend` to run up to
-        ``max_inflight`` fixed-width batches concurrently on worker
-        processes.
+        ``max_inflight`` batches concurrently on worker processes.
     """
 
     def __init__(self,
@@ -231,7 +202,6 @@ class MicroBatcher:
         self._errors = self.registry.counter("errors")
         self._batches = self.registry.counter("batches")
         self._real_rows = self.registry.counter("real_rows")
-        self._padded_rows = self.registry.counter("padded_rows")
         self._latency_hist = self.registry.histogram("request_latency_s")
         self._inflight = 0
         self._per_key_requests: Dict[Hashable, int] = {}
@@ -339,7 +309,7 @@ class MicroBatcher:
             self._dispatch_group(head.key, group)
 
     def _dispatch_group(self, key: Hashable, group: List[_Request]) -> None:
-        """Pad a group to compute width and hand it to the backend.
+        """Hand a group's rows to the backend as one batch.
 
         The backend future's done-callback finishes the group: with the
         inline backend that happens synchronously right here (the
@@ -368,19 +338,12 @@ class MicroBatcher:
         prof_token = (_prof.start("serve.dispatch")
                       if _prof is not None else None)
         images = np.concatenate([request.images for request in group])
-        real = len(images)
-        width = self.policy.max_batch_size if self.policy.pad_to_full else real
-        batch = images
-        if width > real:
-            pad = np.zeros((width - real,) + images.shape[1:],
-                           dtype=images.dtype)
-            batch = np.concatenate([images, pad])
         with self._cond:
             self._inflight += 1
         traces = tuple(request.trace for request in group
                        if request.trace is not None)
         try:
-            batch_future = self.backend.submit(key, batch, traces=traces)
+            batch_future = self.backend.submit(key, images, traces=traces)
         except BaseException as exc:    # noqa: BLE001 — relayed to callers
             self._fail_group(group, exc)
             if _prof is not None:
@@ -389,7 +352,7 @@ class MicroBatcher:
         if _prof is not None:
             _prof.stop(prof_token)
         batch_future.add_done_callback(
-            lambda f: self._finish_group(key, group, images, real, width, f,
+            lambda f: self._finish_group(key, group, images, f,
                                          dispatched_at))
 
     def _fail_group(self, group: List[_Request], exc: BaseException) -> None:
@@ -403,11 +366,10 @@ class MicroBatcher:
             request.future.set_exception(exc)
 
     def _finish_group(self, key: Hashable, group: List[_Request],
-                      images: np.ndarray, real: int, width: int,
-                      batch_future: Future,
+                      images: np.ndarray, batch_future: Future,
                       dispatched_at: float) -> None:
         try:
-            logits = np.asarray(batch_future.result())[:real]
+            logits = np.asarray(batch_future.result())
             extra: Dict[str, np.ndarray] = {}
             if self.post_batch is not None:
                 extra = dict(self.post_batch(key, images, logits) or {})
@@ -416,16 +378,14 @@ class MicroBatcher:
             return
         now = time.perf_counter()
         self._batches.inc()
-        self._real_rows.inc(real)
-        self._padded_rows.inc(width - real)
+        self._real_rows.inc(len(images))
         if _trace.tracing_enabled():
             head = group[0]
             if head.trace is not None:
                 _trace.record_span(
                     "batch.dispatch", head.trace, now - dispatched_at,
                     start_s=dispatched_at,
-                    tags={"key": _format_key(key), "real": real,
-                          "width": width})
+                    tags={"key": _format_key(key), "real": len(images)})
         with self._cond:
             self._inflight -= 1
             for request in group:
@@ -454,9 +414,7 @@ class MicroBatcher:
             per_key = {_format_key(key): count for key, count in
                        sorted(self._per_key_requests.items())}
         real_rows = self._real_rows.value
-        padded_rows = self._padded_rows.value
         batches = self._batches.value
-        compute_rows = real_rows + padded_rows
         return {
             "requests": self._requests.value,
             "rejected": self._rejected.value,
@@ -465,9 +423,9 @@ class MicroBatcher:
             "queued": queued,
             "inflight": inflight,
             "real_rows": real_rows,
-            "padded_rows": padded_rows,
-            "occupancy": (real_rows / compute_rows
-                          if compute_rows else 1.0),
+            # Forwards compute only real rows (see the module docstring).
+            "padded_rows": 0,
+            "occupancy": 1.0,
             "mean_batch_width": (real_rows / batches if batches else 0.0),
             "latency_p50_s": (float(np.quantile(latencies, 0.5))
                               if len(latencies) else 0.0),

@@ -1,6 +1,6 @@
 """Exact response caching for repeated serving traffic.
 
-The fixed-compute-width determinism contract makes response caching
+The width-invariant determinism contract makes response caching
 *provably exact*: for a given model version, a request's logits are a
 pure function of its input bytes — bit-identical whether it is served
 solo, coalesced, by any worker process, or replayed from a cache.  So a

@@ -342,9 +342,9 @@ def run_load(client: ServingClient, model: str, images: np.ndarray,
     Worker ``w`` serves request indices ``w, w+C, w+2C, ...`` round-robin
     over ``images``, so the request mix is deterministic for a given
     (requests, concurrency) pair even though arrival interleaving — and
-    therefore batch composition — is not.  The batcher's fixed-width
-    contract is exactly what makes that interleaving irrelevant to the
-    returned logits.
+    therefore batch composition — is not.  The width-invariant kernels
+    behind the batcher are exactly what make that interleaving
+    irrelevant to the returned logits.
     """
     if requests < 1 or concurrency < 1:
         raise ValueError("requests and concurrency must be >= 1")

@@ -35,12 +35,12 @@ them:
   degrades to re-routing its keys onto any surviving host (shipping
   state on demand), and a fully lost cluster falls back to serving
   inline from the router's own folded copies — bit-identical at every
-  tier, because every path runs the same fixed-compute-width forward.
+  tier, because every path runs the same width-invariant forward.
 
 Determinism is the load-bearing property: retries, re-routes and
 fallbacks are safe *because* any replica of a version produces the
-same bits as any other, which the fixed-width batching contract
-guarantees end to end.
+same bits as any other, whatever batch a request lands in: the kernels
+give a row the same bits at every batch width, end to end.
 """
 
 from __future__ import annotations
@@ -819,8 +819,8 @@ class ServingCluster:
             return status, data, headers
 
         # No host left at all: serve inline from the router's own
-        # folded copy — slower, never down, bit-identical (same fixed
-        # compute width).  QueueFullError propagates as 429.
+        # folded copy — slower, never down, bit-identical (the same
+        # width-invariant forward).  QueueFullError propagates as 429.
         images = np.asarray(payload["inputs"], dtype=np.float32)
         with _trace.span("route.inline", trace=trace, model=model):
             result = self._fallback.predict(model, images, version=pinned,

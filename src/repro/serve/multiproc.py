@@ -1,8 +1,8 @@
 """Multi-process execution backend: per-worker folded replicas.
 
 Single-process serving tops out at one core's forward rate no matter
-how well the scheduler coalesces — every fixed-width batch runs on the
-same folded copy in the same process.  :class:`MultiprocBackend` breaks
+how well the scheduler coalesces — every batch runs on the same folded
+copy in the same process.  :class:`MultiprocBackend` breaks
 that ceiling: ``N`` persistent worker processes
 (:class:`~repro.parallel.session.WorkerSession`) each hold their own
 folded inference replica per model version, and the scheduler's batches
@@ -30,7 +30,7 @@ Prefetch + warm-up
 :meth:`ensure_loaded` is cheap enough to run at *registration* time,
 which is exactly what the serving layer does when replica prefetch is
 on: state ships to every worker before the first request exists, and
-:meth:`warm_up` then runs one fixed-compute-width forward per worker so
+:meth:`warm_up` then runs one full-width forward per worker so
 the first real batch pays no lazy-initialization spike (kernel plans,
 im2col scratch, channel attachments, grown shm lanes).  A worker that
 dies while a replica is shipping is detected by the session layer,
@@ -40,7 +40,7 @@ usable through the crash.
 Shared-memory return path
 -------------------------
 Per worker, two :class:`~repro.parallel.shm.ArrayChannel` lanes carry
-the arrays: the padded input batch goes out through one, the logits
+the arrays: the input batch goes out through one, the logits
 come back through the other — only tiny slot descriptors (segment name
 + shape + dtype) cross the pipe.  Channels grow on demand; a reply that
 does not fit yet falls back to the pipe once while the parent resizes
@@ -49,11 +49,12 @@ being pickled through the pool pipe.
 
 Determinism
 -----------
-The fixed-compute-width contract survives the hop by construction:
-every worker's replica is rebuilt from the same state dict (verified by
-fingerprint), folding is deterministic, and the conv kernels are
-bit-identical at every intra-op thread count — so *which* worker serves
-a batch cannot change a single bit, and ``--serve-workers 1/2/4`` all
+The width-invariant bit-identity contract survives the hop by
+construction: every worker's replica is rebuilt from the same state
+dict (verified by fingerprint), folding is deterministic, the kernels
+give a row the same bits at every batch width, and the conv kernels are
+bit-identical at every intra-op thread count — so neither *which*
+worker serves a batch nor what shares it can change a single bit, and ``--serve-workers 1/2/4`` all
 produce identical logits (enforced by ``tests/serve/test_multiproc.py``).
 
 Workers are drained at interpreter shutdown via ``atexit`` — after the
@@ -114,7 +115,7 @@ class ReplicaWorker:
 
     Lives inside a :class:`WorkerSession` process.  ``load`` /
     ``load_model`` materialize folded replicas (compiling them when the
-    payload shipped a plan); ``infer`` runs one fixed-width forward and
+    payload shipped a plan); ``infer`` runs one batch's forward and
     parks the logits in the caller's output channel segment (falling
     back to the pipe when the segment is still too small — the parent
     grows it for the next call).
@@ -174,7 +175,7 @@ class ReplicaWorker:
         return sorted(self._replicas)
 
     def warm(self, key, batch_shape) -> int:
-        """One zeros forward at the fixed width, no lanes involved.
+        """One zeros forward at the full width, no lanes involved.
 
         The recovery-time warm-up: the batch is materialized worker-side
         and nothing returns but the pid, so this cannot race another
@@ -563,11 +564,11 @@ class MultiprocBackend:
 
     # -- warm-up -------------------------------------------------------
     def warm_up(self, key: Hashable, input_shape, width: int) -> int:
-        """Run one fixed-width zeros forward per worker for ``key``.
+        """Run one full-width zeros forward per worker for ``key``.
 
         Pays every first-use cost up front — kernel planning, im2col
         scratch allocation, worker channel attachments, return-lane
-        growth — so the first *real* batch at this width runs at
+        growth — so the first *real* batch up to this width runs at
         steady-state latency.  Idempotent per (key, batch shape);
         returns the number of worker forwards actually run.
         """
@@ -639,7 +640,7 @@ class MultiprocBackend:
     # -- batch execution -----------------------------------------------
     def submit(self, key: Hashable, batch: np.ndarray,
                traces: tuple = ()) -> Future:
-        """Dispatch one padded batch; resolves to its logits.
+        """Dispatch one batch; resolves to its logits.
 
         ``traces`` carries the trace ids of the coalesced requests; the
         worker-side spans (infer round-trip, kernel, shm return, retry
@@ -698,10 +699,10 @@ class MultiprocBackend:
 
     def _run(self, key: Hashable, batch: np.ndarray,
              traces: tuple = ()) -> np.ndarray:
-        """Serve one fixed-width batch, retrying through worker failures.
+        """Serve one batch, retrying through worker failures.
 
-        Fixed-width batches are idempotent and bit-identical on replay
-        (the determinism contract), so an infrastructure failure —
+        Batches are idempotent and bit-identical on replay (the
+        determinism contract), so an infrastructure failure —
         crashed worker, blown deadline, broken pipe — burns a retry
         attempt instead of a client response.  Handler-level errors
         from a healthy worker (missing replica, bad key) are

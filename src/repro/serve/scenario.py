@@ -81,7 +81,7 @@ def serving_store(result: PipelineResult, name: Optional[str] = None,
     # multi-process serving then ships state dicts, not pickled modules.
     spec = ModelSpec(cfg.model, profile.num_classes, scale=cfg.model_scale)
     # The registered input shape lets the serving layer prefetch *and*
-    # warm every version at the fixed compute width before traffic.
+    # warm every version at the full serving width before traffic.
     input_shape = (spec.in_channels, profile.spec.image_size,
                    profile.spec.image_size)
     stages = (("poison", result.poison_model),

@@ -123,7 +123,7 @@ class InferenceServer:
         is entropy-scored and responses carry per-input flags.
     workers:
         Execution backend width: 1 (default) runs forwards inline in
-        the scheduler thread; >= 2 dispatches fixed-width batches over
+        the scheduler thread; >= 2 dispatches batches over
         that many persistent worker processes, each holding its own
         folded replica per version
         (:class:`~repro.serve.multiproc.MultiprocBackend`); 0 = one per
@@ -139,7 +139,7 @@ class InferenceServer:
         (default on): replicas ship to all worker processes at
         construction / registration time instead of lazily, the STRIP
         screen calibrates, and — for entries registered with an
-        ``input_shape`` — one fixed-compute-width warm-up forward runs
+        ``input_shape`` — one ``max_batch_size``-row warm-up forward runs
         per worker (or inline), so the first real batch pays no
         cold-start spike.  The lazy path stays as a safety net either
         way.
@@ -153,7 +153,7 @@ class InferenceServer:
         bit-identical by the fingerprint contract).
     compile_models:
         Compile every entry that declares an ``input_shape`` into a
-        fused/arena/autotuned program at the serving width
+        fused/arena/autotuned program sized for ``max_batch_size`` rows
         (:func:`repro.nn.compile`) during prefetch, and serve through
         it (default on).  The compiled plan ships to worker processes
         with the replica payload, so workers reuse the parent's
@@ -222,8 +222,9 @@ class InferenceServer:
 
         Ships the replica to every worker process (shared-memory state
         transport), calibrates the screening boundary, and runs one
-        forward at the fixed compute width per worker — after this, the
-        first real request for the version does no lazy work at all.
+        ``max_batch_size``-row forward per worker (inline: through the
+        executable :meth:`_infer` serves) — after this, the first real
+        request for the version does no lazy work at all.
         """
         key = entry.key
         # Compile *before* the replica ships: the plan (with its
@@ -249,7 +250,7 @@ class InferenceServer:
             self._warmed_inline.add(mark)
         batch = np.zeros((width,) + tuple(entry.input_shape),
                          dtype=np.float32)
-        self.store.folded(*key)(Tensor(batch))
+        entry.executable()(Tensor(batch))     # what _infer will serve
 
     def _ensure_compiled(self, entry) -> None:
         """Compile ``entry`` at the serving width when the knob is on
@@ -438,7 +439,6 @@ class InferenceServer:
                 "max_batch_size": self.policy.max_batch_size,
                 "max_delay_ms": self.policy.max_delay_ms,
                 "max_queue": self.policy.max_queue,
-                "pad_to_full": self.policy.pad_to_full,
             },
             "models": self.store.describe(),
             "prefetch": {

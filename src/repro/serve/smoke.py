@@ -6,8 +6,8 @@ fires a small concurrent load through the stdlib client, and asserts:
 
 - zero dropped or errored responses at this load;
 - p50 latency under the budget;
-- served logits bit-identical to a direct forward pass at the fixed
-  compute width (the batcher's determinism contract, end to end
+- served logits bit-identical to a direct forward pass at the full
+  serving width (the width-invariant determinism contract, end to end
   through JSON) — including when ``--serve-workers`` >= 2 routes every
   batch through worker-process replicas rebuilt from shipped state
   dicts;
@@ -656,7 +656,7 @@ def run_chaos(args) -> int:
     Phase 2 — graceful degradation.  Every worker call is made to crash
     until the breakers eject the whole pool; traffic must keep
     succeeding through the inline fallback (bit-identically — same
-    folded weights, same fixed compute width), ``/healthz`` must report
+    folded weights, same width-invariant forward), ``/healthz`` must report
     ``degraded`` while ``/readyz`` turns 503, and once the faults are
     lifted the cooldown probes must re-promote every worker back to a
     ready pool that still serves identical bits.

@@ -52,8 +52,8 @@ class ModelEntry:
     #: state_dict`` instead of unpickling the whole module.
     spec: Optional[Callable[[], Module]] = None
     #: Per-input shape (e.g. ``(3, 32, 32)``), when the registrar knows
-    #: it.  Lets the serving layer run warm-up forwards at the fixed
-    #: compute width right after replicas ship, so the first real batch
+    #: it.  Lets the serving layer run warm-up forwards at the full
+    #: serving width right after replicas ship, so the first real batch
     #: pays no lazy-initialization cost.
     input_shape: Optional[Tuple[int, ...]] = None
     #: Optional pre-built compilation plan (the ``CompiledModel.plan``
@@ -147,8 +147,8 @@ class ModelEntry:
 
     def executable(self) -> Module:
         """What the hot path should call: the compiled program when one
-        exists (falling back internally on width mismatch), otherwise
-        the plain folded copy."""
+        exists (falling back internally on batches wider than it),
+        otherwise the plain folded copy."""
         if self._compiled is not None:
             return self._compiled
         return self.folded()
@@ -233,7 +233,7 @@ class ModelStore:
         letting multi-process serving ship this version to workers as a
         state dict instead of a pickled module.  ``input_shape``
         (optional) is the per-input array shape; providing it lets the
-        serving layer warm this version up (replica ship + fixed-width
+        serving layer warm this version up (replica ship + full-width
         forward) before the first request arrives.  ``plan`` (optional)
         is a compiled-plan dict from another process/host — it becomes
         the entry's :attr:`~ModelEntry.plan_hint` *before* listeners

@@ -169,8 +169,10 @@ def test_lazy_folded_inference_rebuilds_on_weight_change(small_batch):
     for param in model.parameters():                 # in-place fine-tune step
         param.data += 0.05
     after = predict_logits(lazy.get(), small_batch)
-    np.testing.assert_allclose(
-        after, predict_logits(model, small_batch), atol=1e-5)
+    # The rebuilt copy is the fold of the mutated weights, bit for bit
+    # (fold accuracy itself is the fold-equivalence tests' business).
+    fresh = fold_batchnorm(model)
+    assert np.array_equal(after, predict_logits(fresh, small_batch))
     assert not np.allclose(before, after)            # stale copy was dropped
 
 

@@ -49,6 +49,13 @@ class _Untraceable(Module):
         return Tensor(np.tanh(x.data))
 
 
+class _BatchMixing(Module):
+    """Every row reads the batch sum: not separable by rows."""
+
+    def forward(self, x):
+        return x * x.sum(axis=0, keepdims=True)
+
+
 class TestBitIdentity:
     """Property sweep: architectures × widths × threads × fusion."""
 
@@ -92,10 +99,25 @@ class TestBitIdentity:
     def test_off_width_batches_delegate_to_interpreted(self):
         model = _model()
         compiled = nn_compile(model, 8, input_shape=SHAPE, autotune=False)
-        batch = _batch(3)
+        batch = _batch(9)           # wider than the program's arena
         with nn.no_grad():
             reference = compiled.model(Tensor(batch)).data
         assert compiled(batch).data.tobytes() == reference.tobytes()
+
+    def test_row_prefixes_replay_the_program(self):
+        """Batches of 1..width rows run the one compiled program on a
+        prefix of its buffers, never the interpreter."""
+        model = _model()
+        compiled = nn_compile(model, 8, input_shape=SHAPE, autotune=False)
+        assert compiled.compiled, compiled.fallback_reason
+        batch = _batch(8)
+        with nn.no_grad():
+            reference = [compiled.model(Tensor(batch[:n])).data
+                         for n in range(1, 9)]
+        compiled.model = None             # any delegation now fails
+        for n in range(1, 9):
+            assert compiled(batch[:n]).data.tobytes() \
+                == reference[n - 1].tobytes(), f"{n} rows"
 
     def test_plan_save_load_roundtrip(self, tmp_path):
         model = _model()
@@ -131,6 +153,18 @@ class TestFallback:
             with nn.no_grad():
                 reference = model(Tensor(batch)).data
             assert fallback(batch).data.tobytes() == reference.tobytes()
+
+    def test_batch_mixing_node_is_a_fallback(self):
+        """A node that reduces over the batch axis cannot replay on a row
+        prefix: TraceError, interpreted serving."""
+        _FALLBACK_WARNED.clear()
+        model = _BatchMixing().eval()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            compiled = nn_compile(model, 4, input_shape=SHAPE)
+        assert not compiled.compiled
+        assert compiled.fallback_reason.startswith("TraceError")
+        assert "row prefix" in compiled.fallback_reason
 
     def test_missing_input_shape_is_a_fallback_not_a_crash(self):
         _FALLBACK_WARNED.clear()

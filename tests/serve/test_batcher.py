@@ -35,18 +35,29 @@ def images(rng):
 
 
 class TestPolicyValidation:
-    def test_uneven_padded_width_rejected(self):
-        # 20 splits into 3/3/3/3/2/2/2/2 conv row-blocks — a sample's
-        # GEMM shape would depend on its offset, breaking bit-identity.
-        with pytest.raises(ValueError, match="equal conv row-blocks"):
-            BatchPolicy(max_batch_size=20)
+    def test_uneven_width_fine_without_padding(self, served_model, images):
+        """20 rows split into uneven conv row-blocks (3/3/3/3/2/2/2/2);
+        per-sample GEMMs keep every row's bits anyway, solo or in a
+        full coalesced batch."""
+        policy = BatchPolicy(max_batch_size=20, max_delay_ms=200.0)
+        key = ("m", "v1")
+        with MicroBatcher(model_infer(served_model), policy) as batcher:
+            solo = [batcher.submit(key, image).result(timeout=30).logits[0]
+                    for image in images]
+            futures = [batcher.submit(key, image) for image in images]
+            futures.append(batcher.submit(key, images[:4]))
+            coalesced = [f.result(timeout=30).logits for f in futures]
+            stats = batcher.stats()
+        for s, c in zip(solo, coalesced):
+            assert np.array_equal(s, c[0])
+        assert np.array_equal(np.stack(solo[:4]), coalesced[-1])
+        assert stats["mean_batch_width"] > 1.0
+        assert stats["real_rows"] == 2 * len(images) + 4
+        assert stats["padded_rows"] == 0 and stats["occupancy"] == 1.0
 
     @pytest.mark.parametrize("width", [1, 8, 15, 16, 32, 64])
     def test_stable_widths_accepted(self, width):
         assert BatchPolicy(max_batch_size=width).max_batch_size == width
-
-    def test_uneven_width_fine_without_padding(self):
-        assert not BatchPolicy(max_batch_size=20, pad_to_full=False).pad_to_full
 
     def test_bad_knobs_rejected(self):
         with pytest.raises(ValueError):
@@ -103,9 +114,9 @@ class TestDeterminism:
             outputs = [f.result(timeout=30) for f in futures]
         for i, output in enumerate(outputs):
             assert output.logits[0, 0] == float(i % 2 == 0)
-        # Padded forwards always run at the fixed compute width.
-        assert all(width == 8 for widths in seen_widths.values()
-                   for width in widths)
+        # Forwards compute exactly each key's real rows.
+        assert {key: sum(widths) for key, widths in seen_widths.items()} \
+            == {("m", "v1"): 4, ("m", "v2"): 4}
 
 
 class TestBackpressure:
@@ -178,7 +189,7 @@ class TestLifecycle:
             return np.zeros((len(batch), 2))
 
         def post(key, real_images, logits):
-            # Tag each *real* row with its index: padding never leaks in.
+            # Tag each row with its index: every request gets its own.
             return {"row": np.arange(len(real_images), dtype=np.float64)}
 
         with MicroBatcher(infer, BatchPolicy(max_batch_size=8,

@@ -10,6 +10,7 @@ import pytest
 from repro import nn
 from repro.data.registry import load_dataset
 from repro.models.registry import build_model
+from repro.nn.graph import CompiledModel
 from repro.nn.tensor import Tensor
 from repro.parallel import ModelSpec
 from repro.serve import BatchPolicy, InferenceServer, ModelStore
@@ -97,6 +98,29 @@ class TestPrefetchOnRegister:
             entry = store.entry("m", "v1")
             assert entry._folded is not None
             assert len(server._warmed_inline) == 1
+        finally:
+            server.close()
+
+    def test_inline_warmup_runs_the_served_executable(self, data,
+                                                      monkeypatch):
+        """The warm-up forward goes through what ``_infer`` serves: the
+        compiled program when compilation is on, not the folded copy."""
+        test, profile = data
+        calls = []
+        original = CompiledModel.__call__
+
+        def spy(self, x):
+            calls.append((self, x.shape))
+            return original(self, x)
+
+        monkeypatch.setattr(CompiledModel, "__call__", spy)
+        store = make_store(profile, test)
+        server = InferenceServer(store, policy=POLICY, workers=1)
+        try:
+            served = store.entry("m", "v1").executable()
+            assert isinstance(served, CompiledModel) and served.compiled
+            assert calls == [(served, (POLICY.max_batch_size,)
+                              + test.images.shape[1:])]
         finally:
             server.close()
 

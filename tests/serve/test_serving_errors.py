@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -97,13 +98,27 @@ class TestCacheMissFlood:
 
             threads = [threading.Thread(target=flood, args=(i,), daemon=True)
                        for i in range(1, 7)]
-            for thread in threads:
+
+            def wait_for(condition):
+                deadline = time.monotonic() + 30.0
+                while not condition() and time.monotonic() < deadline:
+                    threading.Event().wait(0.01)
+                return condition()
+
+            def flood_arrived():
+                stats = server.batcher.stats()
+                arrived = stats["requests"] + stats["rejected"]
+                return arrived >= 1 + len(threads)       # + the warm-up
+
+            # The first flooder's batch blocks the inline scheduler...
+            threads[0].start()
+            assert wait_for(lambda: server.batcher.stats()["inflight"] >= 1)
+            # ...then the rest queue behind it or bounce.  Every one must
+            # reach the batcher before the release below, or a late one
+            # is served instead of bounced.
+            for thread in threads[1:]:
                 thread.start()
-            # Wait until the queue is saturated behind the blocked batch.
-            for _ in range(200):
-                if server.batcher.stats()["queued"] >= 2:
-                    break
-                threading.Event().wait(0.01)
+            assert wait_for(flood_arrived)
             assert server.batcher.stats()["queued"] >= 2
 
             # A fresh miss bounces with 429 while the flood is stuck...
